@@ -30,6 +30,7 @@ DEFAULT_HOT_FUNCTIONS = frozenset(
     {
         "_run_columnar",
         "_run_columnar_fast",
+        "_step",
         "handle_request",
         "access",
         "admit",

@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ServeError
+from repro.errors import ServeError, TraceError
 from repro.observe.bus import EventBus
 from repro.observe.events import (
     CheckpointTaken,
@@ -201,6 +201,12 @@ class ServeDaemon:
         except ServeError as exc:
             req_id = stripped.split()[1] if len(stripped.split()) > 1 else "-"
             return format_err(req_id, str(exc)), None
+        try:
+            self.session.check_request(
+                parsed.disk, parsed.block, parsed.nblocks
+            )
+        except TraceError as exc:
+            return format_err(parsed.req_id, str(exc)), None
         if self._draining:
             return format_retry(parsed.req_id, DRAIN_RETRY_AFTER_S), None
         stamp = self._stamp(parsed)

@@ -173,9 +173,11 @@ def parse_response_line(line: str) -> Response:
     if verb == VERB_RETRY and len(parts) == 3:
         return Response(verb=verb, req_id=parts[1], value=float(parts[2]))
     if verb == VERB_ERR and len(parts) >= 2:
+        # the message is everything after the id, spaces included
+        parts = line.split(None, 2)
         return Response(
             verb=verb,
             req_id=parts[1],
-            message=parts[3] if len(parts) > 3 else "",
+            message=parts[2] if len(parts) > 2 else "",
         )
     raise ServeError(f"unparseable response line {line!r}")

@@ -59,10 +59,11 @@ from repro.traces.record import IORequest, iter_accesses
 #: ``fastpath`` rule: every concrete subclass of the gated base classes
 #: found anywhere in ``src/repro`` must be listed here. Listing a class
 #: asserts it has been audited for bit-identity between the inlined
-#: fast paths (``_run_columnar_fast`` below, ``SimulatedDisk.
-#: submit_quick``, the memoized DPM tables) and the polymorphic loop —
-#: i.e. the columnar/legacy equivalence tests and ``repro bench
-#: --check`` cover it. When you add a subclass, run those, then add its
+#: fast paths (``_run_columnar_fast`` and the fused loops below,
+#: ``SimulatedDisk.submit_quick``, the memoized DPM tables) and the one
+#: polymorphic request body, ``StorageSimulator._step`` — i.e. the
+#: columnar/legacy equivalence tests and ``repro bench --check`` cover
+#: it. When you add a subclass, run those, then add its
 #: name; the checker fails the build until you do.
 #:
 #: The ``BatchKernel`` pseudo-base gates the vectorized kernels of
@@ -269,14 +270,14 @@ class StorageSimulator:
         return self.finish(end_time)
 
     def _run_columnar(self) -> float:
-        """The columnar hot loop; returns the last request time.
+        """Replay the columnar trace; returns the last request time.
 
-        Mirrors :meth:`handle_request` exactly — same calls into the
-        cache, write policy, and disk array, in the same order — but
-        reads the trace straight out of the columns: no
-        :class:`IORequest` objects, per-request attribute lookups
-        hoisted into locals, and the single-block case (the paper's
-        workloads are block-granular) fully inlined.
+        Without a probe this dispatches to a fast loop (a fused
+        policy loop when :meth:`_fused_loop_for` finds one, else
+        :meth:`_run_columnar_fast`). With a probe attached every
+        request goes through :meth:`_step`, the same generic body
+        :meth:`handle_request` runs, so the event stream is complete
+        and the simulated numbers match the fast loops bit for bit.
         """
         trace: ColumnarTrace = self.trace
         if len(trace) == 0:
@@ -310,92 +311,24 @@ class StorageSimulator:
                 if was_enabled:
                     gc.enable()
 
-        cache_access = self.cache.access
-        on_write = self.write_policy.on_write
-        on_evicted = self.write_policy.on_evicted
-        # Most write policies inherit the no-op after_read_wake; skip
-        # the call entirely in that case.
-        after_read_wake = (
-            None
-            if type(self.write_policy).after_read_wake
-            is WritePolicy.after_read_wake
-            else self.write_policy.after_read_wake
-        )
-        quick = [d.submit_quick for d in self.array.disks]
-        prefetcher = self.prefetcher
-        probe = self.probe
-        hit_latency = self.config.cache_hit_latency_s
-        append_response = self._responses.append
-        disk_reads = 0
-
+        step = self._step
         time = 0.0
         for time, disk, block, count, is_write in zip(
             times, disks, blocks, nblocks, writes
         ):
-            if count == 1:
-                key = (disk, block)
-                worst = hit_latency
-                outcome = cache_access(key, time, is_write)
-                if is_write:
-                    for victim, state in outcome.evicted:
-                        on_evicted(victim, state, time)
-                    latency = on_write(key, time)
-                    if latency > worst:
-                        worst = latency
-                elif not outcome.hit:
-                    latency, wake_delay = quick[disk](time, block, False)
-                    disk_reads += 1
-                    if latency > worst:
-                        worst = latency
-                    for victim, state in outcome.evicted:
-                        on_evicted(victim, state, time)
-                    if after_read_wake is not None:
-                        after_read_wake(disk, time, woke=wake_delay > 0)
-                    if prefetcher is not None:
-                        self._prefetch(key, wake_delay > 0, time)
-            else:
-                worst = hit_latency
-                for i in range(count):
-                    key = (disk, block + i)
-                    outcome = cache_access(key, time, is_write)
-                    latency = hit_latency
-                    if is_write:
-                        for victim, state in outcome.evicted:
-                            on_evicted(victim, state, time)
-                        write_latency = on_write(key, time)
-                        if write_latency > latency:
-                            latency = write_latency
-                    elif not outcome.hit:
-                        read_latency, wake_delay = quick[disk](
-                            time, block + i, False
-                        )
-                        disk_reads += 1
-                        if read_latency > latency:
-                            latency = read_latency
-                        for victim, state in outcome.evicted:
-                            on_evicted(victim, state, time)
-                        if after_read_wake is not None:
-                            after_read_wake(disk, time, woke=wake_delay > 0)
-                        if prefetcher is not None:
-                            self._prefetch(key, wake_delay > 0, time)
-                    if latency > worst:
-                        worst = latency
-            append_response(worst)
-            if probe is not None:
-                probe(RequestComplete(time, disk, worst, is_write, count))
-        self._disk_reads += disk_reads
+            step(time, disk, block, count, is_write)
         return time
 
     def _run_columnar_fast(self, times, disks, blocks_col, counts, writes):
         """Probe-free columnar loop with the cache access path inlined.
 
-        Only runs when no event hook is attached (the traced loop above
-        keeps the full event stream). Performs exactly the operations of
-        ``StorageCache.access`` + the traced loop, in the same order;
-        the plain-counter statistics are kept in locals and folded into
-        ``CacheStats`` once at the end (integer addition commutes, and
-        nothing reads the counters mid-run). The columnar/legacy
-        equivalence tests pin the results bit for bit.
+        Only runs when no event hook is attached. Single-block requests
+        perform exactly the operations of ``StorageCache.access`` +
+        :meth:`_step`, in the same order; multi-block ones call
+        :meth:`_step`. The plain-counter statistics are kept in locals
+        and folded into ``CacheStats`` once at the end (integer addition
+        commutes, and nothing reads the counters mid-run). The
+        columnar/legacy equivalence tests pin the results bit for bit.
         """
         cache = self.cache
         policy = self.policy
@@ -424,6 +357,7 @@ class StorageSimulator:
         hit_latency = self.config.cache_hit_latency_s
         append_response = self._responses.append
         block_state = BlockState
+        step = self._step
         disk_reads = 0
         n_acc = n_read = n_write = 0
         n_hit = n_miss = n_cold = n_pf_hits = 0
@@ -505,37 +439,9 @@ class StorageSimulator:
                             self._prefetch(key, wake_delay > 0, time)
                 append_response(worst)
             else:
-                # Multi-block requests are rare; go through the cache's
-                # regular access path (its counters update CacheStats
-                # directly, which composes with the local counters).
-                cache_access = cache.access
-                worst = hit_latency
-                for i in range(count):
-                    key = (disk, block + i)
-                    outcome = cache_access(key, time, is_write)
-                    latency = hit_latency
-                    if is_write:
-                        for victim, vstate in outcome.evicted:
-                            on_evicted(victim, vstate, time)
-                        write_latency = on_write(key, time)
-                        if write_latency > latency:
-                            latency = write_latency
-                    elif not outcome.hit:
-                        read_latency, wake_delay = quick[disk](
-                            time, block + i, False
-                        )
-                        disk_reads += 1
-                        if read_latency > latency:
-                            latency = read_latency
-                        for victim, vstate in outcome.evicted:
-                            on_evicted(victim, vstate, time)
-                        if after_read_wake is not None:
-                            after_read_wake(disk, time, woke=wake_delay > 0)
-                        if prefetcher is not None:
-                            self._prefetch(key, wake_delay > 0, time)
-                    if latency > worst:
-                        worst = latency
-                append_response(worst)
+                # Multi-block requests are rare: the generic step (its
+                # counter updates compose with the locals folded below).
+                step(time, disk, block, count, is_write)
         stats.accesses += n_acc
         stats.read_accesses += n_read
         stats.write_accesses += n_write
@@ -1708,43 +1614,57 @@ class StorageSimulator:
         Returns the client-visible response time (also accumulated for
         the final report). Callers must supply requests in
         non-decreasing time order — the trace loop and the closed-loop
-        driver both guarantee it.
+        driver both guarantee it — and on disks and blocks that exist
+        (:meth:`~repro.sim.session.SimulationSession.check_request`).
         """
-        cache = self.cache
+        return self._step(
+            req.time, req.disk, req.block, req.nblocks, req.is_write
+        )
+
+    def _step(
+        self, time: float, disk: int, block: int, count: int, is_write: bool
+    ) -> float:
+        """The generic request semantics; returns the response time.
+
+        For each block: a cache access, then for a write the dirty
+        evictions followed by the write policy's ``on_write``; for a
+        read miss the disk read, then the evictions, the
+        ``after_read_wake`` hook and prefetching. The response is the
+        slowest block access. Every path but the inlined fast loops
+        runs this body: :meth:`handle_request`, probe-attached
+        columnar runs and the fast loop's multi-block requests.
+        """
+        cache_access = self.cache.access
         write_policy = self.write_policy
-        hit_latency = self.config.cache_hit_latency_s
-        worst = hit_latency
-        for key in req.block_keys():
-            outcome = cache.access(key, req.time, req.is_write)
-            latency = hit_latency
-            if req.is_write:
+        on_evicted = write_policy.on_evicted
+        prefetcher = self.prefetcher
+        worst = self.config.cache_hit_latency_s
+        for b in range(block, block + count):
+            key = (disk, b)
+            outcome = cache_access(key, time, is_write)
+            if is_write:
                 for victim, state in outcome.evicted:
-                    write_policy.on_evicted(victim, state, req.time)
-                latency = max(latency, write_policy.on_write(key, req.time))
+                    on_evicted(victim, state, time)
+                latency = write_policy.on_write(key, time)
+                if latency > worst:
+                    worst = latency
             elif not outcome.hit:
-                response = self.array.submit(
-                    req.disk, req.time, key[1], 1, is_write=False
-                )
+                # the full submit: this is the reference path that
+                # ``repro bench`` measures the fast loops against
+                response = self.array.submit(disk, time, b, 1, False)
                 self._disk_reads += 1
-                latency = max(latency, response.response_time_s)
+                latency = response.response_time_s
+                if latency > worst:
+                    worst = latency
                 for victim, state in outcome.evicted:
-                    write_policy.on_evicted(victim, state, req.time)
-                write_policy.after_read_wake(
-                    req.disk, req.time, woke=response.wake_delay_s > 0
-                )
-                if self.prefetcher is not None:
-                    self._prefetch(
-                        key, response.wake_delay_s > 0, req.time
-                    )
-            if latency > worst:
-                worst = latency
+                    on_evicted(victim, state, time)
+                woke = response.wake_delay_s > 0
+                write_policy.after_read_wake(disk, time, woke=woke)
+                if prefetcher is not None:
+                    self._prefetch(key, woke, time)
         self._responses.append(worst)
         if self.probe is not None:
-            self.probe(
-                RequestComplete(
-                    req.time, req.disk, worst, req.is_write, req.nblocks
-                )
-            )
+            self.probe(RequestComplete(time, disk, worst, is_write, count))
         return worst
 
     def finish(self, end_time: float) -> SimulationResult:

@@ -143,7 +143,10 @@ class SimulationSession:
 
         Request times must be non-decreasing across *all* feeds and
         :meth:`advance_to` calls — the engine's trace-order contract,
-        enforced here because live batches arrive piecewise.
+        enforced here because live batches arrive piecewise — and every
+        request must pass :meth:`check_request`. The whole batch is
+        validated before any of it is served, so a rejected batch
+        leaves the session untouched.
         """
         self._check_open()
         if isinstance(self.simulator.policy, OfflinePolicy):
@@ -152,10 +155,9 @@ class SimulationSession:
                 "whole trace up front and cannot be fed incrementally; "
                 "use run_batch() or an online policy"
             )
-        handle = self.simulator.handle_request
-        record = self._log.append if self.record_requests else None
+        batch = list(batch)
+        check = self.check_request
         watermark = self._watermark
-        responses: list[float] = []
         for req in batch:
             if req.time < watermark:
                 raise TraceError(
@@ -163,14 +165,34 @@ class SimulationSession:
                     f"watermark {watermark}; feeds must be time-ordered"
                 )
             watermark = req.time
-            responses.append(handle(req))
-            if record is not None:
-                record(req)
+            check(req.disk, req.block, req.nblocks)
+        handle = self.simulator.handle_request
+        responses = [handle(req) for req in batch]
+        if self.record_requests:
+            self._log.extend(batch)
         self._served += len(responses)
         if responses:
             self._last_request_time = watermark
         self._watermark = watermark
         return responses
+
+    def check_request(self, disk: int, block: int, nblocks: int = 1) -> None:
+        """Reject a request for a disk or block the array does not have.
+
+        Raises :class:`TraceError` with the diagnostic the serve daemon
+        answers as ``ERR``. The engine would otherwise fail only after
+        the cache had admitted the block (a read) or when the dirty
+        block is flushed much later (a write).
+        """
+        array = self.simulator.array
+        if not 0 <= disk < len(array):
+            raise TraceError(f"disk {disk} out of range [0, {len(array)})")
+        capacity = array[disk].geometry.num_blocks
+        if block + nblocks > capacity:
+            raise TraceError(
+                f"block {block}+{nblocks} beyond disk {disk} "
+                f"capacity {capacity}"
+            )
 
     def advance_to(self, time_s: float) -> None:
         """Raise the simulated-time floor without serving requests.

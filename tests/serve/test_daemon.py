@@ -150,6 +150,42 @@ class TestLockstepService:
         assert ok.verb == "OK" and err.verb == "ERR"
         assert "behind" in err.message
 
+    def test_out_of_range_request_is_an_error_and_serving_goes_on(self):
+        trace = small_trace(40)
+        lines = req_lines(trace)
+        bad = [
+            (f"REQ bad1 99 1 1 R t={BASE + 1}", "disk 99 out of range [0, 3)"),
+            (f"REQ bad2 9 1 1 W t={BASE + 2}", "disk 9 out of range [0, 3)"),
+        ]
+
+        async def scenario():
+            daemon = await start_daemon()
+            capacity = daemon.session.simulator.array[1].geometry.num_blocks
+            bad.append(
+                (
+                    f"REQ bad3 1 {capacity - 1} 2 R t={BASE + 3}",
+                    f"block {capacity - 1}+2 beyond disk 1 capacity "
+                    f"{capacity}",
+                )
+            )
+            mixed = lines[:10] + [line for line, _ in bad] + lines[10:]
+            responses = await tcp_exchange(daemon.tcp_port, mixed)
+            return daemon, responses, await drain(daemon)
+
+        daemon, responses, result = run(scenario())
+        errs = responses[10:13]
+        assert [(r.verb, r.req_id) for r in errs] == [
+            ("ERR", "bad1"),
+            ("ERR", "bad2"),
+            ("ERR", "bad3"),
+        ]
+        assert [r.message for r in errs] == [message for _, message in bad]
+        assert all(r.verb == "OK" for r in responses[:10] + responses[13:])
+        assert daemon.exit_code == 0
+        assert daemon.session.served == len(trace)
+        batch = run_simulation(trace, "lru", num_disks=3, cache_blocks=128)
+        assert result_digest(result) == result_digest(batch)
+
     def test_wall_stamped_requests_are_served(self):
         async def scenario():
             daemon = await start_daemon(time_dilation=100.0)

@@ -72,7 +72,7 @@ class TestResponseLine:
     def test_err_carries_the_message(self):
         response = parse_response_line(format_err("r3", "bad things here"))
         assert response.verb == "ERR" and response.req_id == "r3"
-        assert "things" in response.message
+        assert response.message == "bad things here"
 
     def test_pong(self):
         assert parse_response_line("PONG").verb == "PONG"

@@ -9,11 +9,14 @@ ulp fails the suite.
 """
 
 import json
+import random
 
 import pytest
 
-from repro.sim.runner import run_simulation
+from repro.sim.runner import build_session, run_simulation
+from repro.sim.session import ordered_batches
 from repro.traces.columnar import ColumnarTrace
+from repro.traces.record import IORequest
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
     generate_synthetic_trace,
@@ -83,8 +86,9 @@ def test_from_requests_matches_generator(traces):
 
 
 def test_traced_columnar_loop_matches_fast_loop(traces):
-    """With an event probe attached the columnar engine takes the traced
-    loop; the simulated numbers must not depend on which loop ran."""
+    """With an event probe attached every columnar request takes the
+    generic step; the simulated numbers must not depend on which path
+    ran."""
     _, columnar = traces
     with_probe = _serialized(columnar, policy="lru", trace_events=True)
     without = _serialized(columnar, policy="lru")
@@ -95,3 +99,65 @@ def test_traced_columnar_loop_matches_fast_loop(traces):
     a.pop("trace_metrics", None)
     b.pop("trace_metrics", None)
     assert a == b
+
+
+def _multi_block_requests():
+    """Mixed 1-8 block reads and writes over a small, reused block range,
+    with occasional long gaps so disks spin down between bursts."""
+    rng = random.Random(2024)
+    time = 0.0
+    requests = []
+    for _ in range(1500):
+        time += rng.choice((0.01, 0.05, 0.2, 0.2, 1.0, 40.0))
+        requests.append(
+            IORequest(
+                time=time,
+                disk=rng.randrange(4),
+                block=rng.randrange(300),
+                nblocks=rng.randint(1, 8),
+                is_write=rng.random() < 0.3,
+            )
+        )
+    return requests
+
+
+MULTI_BLOCK_RUNS = [
+    (policy, write_policy, 0)
+    for policy in ("lru", "arc", "pa-lru")
+    for write_policy in ("write-back", "wtdu")
+] + [("lru", "write-back", 2), ("pa-lru", "wtdu", 2)]
+
+
+@pytest.mark.parametrize("policy, write_policy, prefetch_depth", MULTI_BLOCK_RUNS)
+def test_multi_block_requests_identical_on_every_path(
+    policy, write_policy, prefetch_depth
+):
+    """Multi-block requests reach the generic step from the list loop,
+    the probe-free fast loop, the probe-attached loop and ``feed``; all
+    four must serialize to the same bytes."""
+    requests = _multi_block_requests()
+    columnar = ColumnarTrace.from_requests(requests)
+    kwargs = {
+        "num_disks": 4,
+        "cache_blocks": 96,
+        "dpm": "practical",
+        "write_policy": write_policy,
+        "prefetch_depth": prefetch_depth,
+        "pa_epoch_s": 60.0,
+    }
+
+    def serialized(result):
+        doc = result.to_dict()
+        doc.pop("trace_metrics", None)
+        return json.dumps(doc, sort_keys=True)
+
+    as_list = serialized(run_simulation(requests, policy, **kwargs))
+    fast = serialized(run_simulation(columnar, policy, **kwargs))
+    traced = serialized(
+        run_simulation(columnar, policy, trace_events=True, **kwargs)
+    )
+    session = build_session(policy=policy, **kwargs)
+    for batch in ordered_batches(requests, 7):
+        session.feed(batch)
+    fed = serialized(session.finalize())
+    assert as_list == fast == traced == fed

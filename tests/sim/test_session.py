@@ -12,6 +12,7 @@ The load-bearing guarantees:
 """
 
 import json
+import re
 
 import pytest
 
@@ -220,3 +221,78 @@ class TestSessionLifecycle:
         assert [r for b in batches for r in b] == reqs
         with pytest.raises(ConfigurationError):
             list(ordered_batches(reqs, 0))
+
+
+class TestAddressValidation:
+    """A request for a disk or block the array lacks is refused up front.
+
+    The engine alone would fail only after the cache had admitted the
+    block (a read) or when a dirty block is flushed much later (a
+    write); ``feed`` must refuse the whole batch before touching state.
+    """
+
+    def _session(self):
+        return build_session(
+            policy="lru",
+            record_requests=True,
+            num_disks=4,
+            cache_blocks=8,
+            dpm="practical",
+        )
+
+    def _clean(self):
+        return [
+            IORequest(
+                time=float(i), disk=i % 4, block=10 + i, is_write=i % 3 == 0
+            )
+            for i in range(30)
+        ]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (IORequest(time=5.0, disk=99, block=1), "disk 99"),
+            (IORequest(time=5.0, disk=9, block=1, is_write=True), "disk 9"),
+        ],
+    )
+    def test_out_of_range_disk(self, bad, message):
+        session = self._session()
+        expected = f"{message} out of range [0, 4)"
+        with pytest.raises(TraceError, match=f"^{re.escape(expected)}$"):
+            session.feed([bad])
+        assert session.served == 0
+        assert session.simulator.cache.stats.accesses == 0
+
+    def test_block_beyond_capacity(self):
+        session = self._session()
+        capacity = session.simulator.array[2].geometry.num_blocks
+        message = f"block {capacity}+1 beyond disk 2 capacity {capacity}"
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+            session.feed([IORequest(time=1.0, disk=2, block=capacity)])
+        # a multi-block request straddling the end is refused too, and
+        # one ending exactly at the end is served
+        message = f"block {capacity - 2}+3 beyond disk 2"
+        with pytest.raises(TraceError, match=re.escape(message)):
+            session.feed(
+                [IORequest(time=1.0, disk=2, block=capacity - 2, nblocks=3)]
+            )
+        session.feed(
+            [IORequest(time=1.0, disk=2, block=capacity - 2, nblocks=2)]
+        )
+        assert session.served == 1
+
+    def test_rejected_batch_leaves_the_session_untouched(self):
+        clean = self._clean()
+        reference = self._session()
+        reference.feed(clean)
+        expected = _result_doc(reference.finalize())
+
+        session = self._session()
+        session.feed(clean[:10])
+        poisoned = clean[10:15] + [IORequest(time=14.0, disk=7, block=3)]
+        with pytest.raises(TraceError, match="disk 7 out of range"):
+            session.feed(poisoned)
+        assert session.served == 10
+        assert session.checkpoint().served == 10
+        session.feed(clean[10:])
+        assert _result_doc(session.finalize()) == expected
