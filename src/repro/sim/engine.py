@@ -311,13 +311,9 @@ class StorageSimulator:
                 if was_enabled:
                     gc.enable()
 
-        step = self._step
-        time = 0.0
-        for time, disk, block, count, is_write in zip(
-            times, disks, blocks, nblocks, writes
-        ):
-            step(time, disk, block, count, is_write)
-        return time
+        for row in zip(times, disks, blocks, nblocks, writes):
+            self._step(*row)
+        return times[-1]
 
     def _run_columnar_fast(self, times, disks, blocks_col, counts, writes):
         """Probe-free columnar loop with the cache access path inlined.
@@ -357,7 +353,6 @@ class StorageSimulator:
         hit_latency = self.config.cache_hit_latency_s
         append_response = self._responses.append
         block_state = BlockState
-        step = self._step
         disk_reads = 0
         n_acc = n_read = n_write = 0
         n_hit = n_miss = n_cold = n_pf_hits = 0
@@ -439,9 +434,8 @@ class StorageSimulator:
                             self._prefetch(key, wake_delay > 0, time)
                 append_response(worst)
             else:
-                # Multi-block requests are rare: the generic step (its
-                # counter updates compose with the locals folded below).
-                step(time, disk, block, count, is_write)
+                # _step's CacheStats updates compose with the locals below
+                self._step(time, disk, block, count, is_write, quick)
         stats.accesses += n_acc
         stats.read_accesses += n_read
         stats.write_accesses += n_write
@@ -1622,7 +1616,8 @@ class StorageSimulator:
         )
 
     def _step(
-        self, time: float, disk: int, block: int, count: int, is_write: bool
+        self, time: float, disk: int, block: int, count: int, is_write: bool,
+        quick=None,
     ) -> float:
         """The generic request semantics; returns the response time.
 
@@ -1633,11 +1628,14 @@ class StorageSimulator:
         slowest block access. Every path but the inlined fast loops
         runs this body: :meth:`handle_request`, probe-attached
         columnar runs and the fast loop's multi-block requests.
+
+        ``quick`` is the fast loop's per-disk ``submit_quick`` list;
+        without it a read takes the full ``DiskArray.submit``, the
+        reference ``repro bench`` measures the fast loops against.
         """
         cache_access = self.cache.access
         write_policy = self.write_policy
         on_evicted = write_policy.on_evicted
-        prefetcher = self.prefetcher
         worst = self.config.cache_hit_latency_s
         for b in range(block, block + count):
             key = (disk, b)
@@ -1649,18 +1647,20 @@ class StorageSimulator:
                 if latency > worst:
                     worst = latency
             elif not outcome.hit:
-                # the full submit: this is the reference path that
-                # ``repro bench`` measures the fast loops against
-                response = self.array.submit(disk, time, b, 1, False)
+                if quick is None:
+                    response = self.array.submit(disk, time, b, 1, False)
+                    latency = response.response_time_s
+                    woke = response.wake_delay_s > 0
+                else:
+                    latency, wake_delay = quick[disk](time, b, False)
+                    woke = wake_delay > 0
                 self._disk_reads += 1
-                latency = response.response_time_s
                 if latency > worst:
                     worst = latency
                 for victim, state in outcome.evicted:
                     on_evicted(victim, state, time)
-                woke = response.wake_delay_s > 0
                 write_policy.after_read_wake(disk, time, woke=woke)
-                if prefetcher is not None:
+                if self.prefetcher is not None:
                     self._prefetch(key, woke, time)
         self._responses.append(worst)
         if self.probe is not None:
