@@ -34,6 +34,7 @@ from repro.analysis.tables import ascii_table
 from repro.errors import ReproError
 from repro.power.envelope import EnergyEnvelope
 from repro.power.specs import ULTRASTAR_36Z15, build_power_model
+from repro.sim.config import DPM_KINDS
 from repro.sim.runner import POLICY_NAMES, WRITE_POLICY_NAMES, run_simulation
 from repro.traces.cello import CelloTraceConfig, generate_cello_trace
 from repro.traces.io import load_trace, save_trace
@@ -128,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="cache capacity in blocks (default 2048)",
         )
         p.add_argument(
-            "--dpm", choices=("practical", "oracle", "always_on"),
+            "--dpm", choices=DPM_KINDS,
             default="practical",
         )
         p.add_argument(
@@ -287,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--disks", type=int, default=4)
     serve.add_argument("--cache-blocks", type=int, default=2048)
     serve.add_argument(
-        "--dpm", choices=("practical", "oracle", "always_on"),
+        "--dpm", choices=DPM_KINDS,
         default="practical",
     )
     serve.add_argument(

@@ -39,6 +39,7 @@ from repro.cache.policies.base import OfflinePolicy
 from repro.core.chunked import ChunkedSortedList
 from repro.core.deterministic import DiskTimeline
 from repro.errors import PolicyError
+from repro.power.dpm import PracticalDPM
 
 #: Idle-period energy function: seconds -> joules.
 EnergyFn = Callable[[float], float]
@@ -81,6 +82,26 @@ class OPGPolicy(OfflinePolicy):
         if tail_s < 0:
             raise PolicyError(f"tail_s must be >= 0, got {tail_s}")
         self._energy = energy_fn
+        # The one choice of penalty function, shared by _penalty and
+        # the engine's fused OPG loop. An unoverridden
+        # PracticalDPM.idle_energy prices through the DPM's segment
+        # table, bit-identical to three energy calls. An exact
+        # PracticalDPM never rebuilds that table, so its method is bound
+        # directly (one frame less per penalty); subclasses (adaptive)
+        # go through the DPM, which re-reads the table it rebuilds.
+        owner = getattr(energy_fn, "__self__", None)
+        if (
+            isinstance(owner, PracticalDPM)
+            and getattr(energy_fn, "__func__", None)
+            is PracticalDPM.idle_energy
+        ):
+            self._split = (
+                owner._table.split_penalty
+                if type(owner) is PracticalDPM
+                else owner.split_penalty
+            )
+        else:
+            self._split = self._split_by_calls
         self.theta = theta
         self.tail_s = tail_s
         self._start_time = start_time
@@ -156,6 +177,10 @@ class OPGPolicy(OfflinePolicy):
         follow = follower - next_time
         if follow < 0:
             follow = 0.0  # next access beyond the trace end
+        return self._split(lead, follow)
+
+    def _split_by_calls(self, lead: float, follow: float) -> float:
+        """``E(lead) + E(follow) - E(lead + follow)``, clamped at zero."""
         e = self._energy
         return max(0.0, e(lead) + e(follow) - e(lead + follow))
 

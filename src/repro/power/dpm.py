@@ -245,6 +245,7 @@ class _SegmentTable:
         "sh_spinup_t",
         "sh_spinup_e",
         "sh_ie_total",
+        "lanes",
     )
 
     def __init__(
@@ -320,6 +321,21 @@ class _SegmentTable:
             self.res_tenergy.append(tenergy)
             self.res_spinup_t.append(up.spinup_time_s)
             self.res_spinup_e.append(up.spinup_energy_j)
+        # split_penalty's first/last-segment lanes. ``bounds`` comes in
+        # (start, end) pairs, so a value past ``bounds[-1]`` bisects to
+        # the even index len(bounds), i.e. residency segment
+        # len(bounds) // 2; with no rungs both limits are inf and every
+        # value takes the segment-0 lane.
+        n = len(steps)
+        self.lanes = (
+            self.bounds[0] if n else float("inf"),
+            self.res_power[0],
+            self.bounds[-1] if n else float("inf"),
+            self.res_prefix[n],
+            self.res_cursor[n],
+            self.res_power[n],
+            self.res_spinup_e[n],
+        )
 
     def account_into(self, duration: float, wake: bool, account) -> float:
         """Fold a gap of ``duration`` seconds straight into ``account``.
@@ -520,47 +536,73 @@ class _SegmentTable:
     def split_penalty(self, lead: float, follow: float) -> float:
         """``E(lead) + E(follow) - E(lead + follow)``, clamped at zero.
 
-        The OPG eviction penalty with all three :meth:`energy` lookups
-        fused into one frame — same table values, same operation order,
+        The OPG eviction penalty, and the only copy of its segment-table
+        arithmetic: all three :meth:`energy` lookups fused into one
+        frame, with the same table values and the same operation order,
         so the result is bit-identical to three separate calls (the
-        fused-path differential tests pin it). ``lead`` and ``follow``
-        must be >= 0 (the caller's geometry guarantees it).
+        lockstep test in ``tests/power/test_dpm_memo.py`` pins it).
+
+        Valid only on a table that starts in mode 0 (``PracticalDPM``'s
+        ``_table``), for ``lead, follow >= 0``. Segment 0 then has zero
+        prefix, zero cursor and no spin-up, so ``E(x) = x * power0``
+        exactly up to ``bounds[0]``. Most OPG distances fall below
+        ``bounds[0]`` or beyond ``bounds[-1]``, so each value first
+        tries those two lanes and only the middle ones bisect; when the
+        whole gap fits in segment 0 no lookup runs at all.
         """
-        bounds = self.bounds
-        idx = bisect_left(bounds, lead)
-        if idx & 1 and bounds[idx] != lead:
-            e_lead = self.sh_ie_total[idx >> 1]
-        else:
-            j = (idx + 1) >> 1 if idx & 1 else idx >> 1
-            e_lead = (
-                self.res_prefix[j]
-                + (lead - self.res_cursor[j]) * self.res_power[j]
-            )
-            if self.res_mode[j] != 0:
-                e_lead = e_lead + self.res_spinup_e[j]
-        idx = bisect_left(bounds, follow)
-        if idx & 1 and bounds[idx] != follow:
-            e_follow = self.sh_ie_total[idx >> 1]
-        else:
-            j = (idx + 1) >> 1 if idx & 1 else idx >> 1
-            e_follow = (
-                self.res_prefix[j]
-                + (follow - self.res_cursor[j]) * self.res_power[j]
-            )
-            if self.res_mode[j] != 0:
-                e_follow = e_follow + self.res_spinup_e[j]
+        b0, power0, b_last, prefix_n, cursor_n, power_n, spin_n = self.lanes
         whole = lead + follow
-        idx = bisect_left(bounds, whole)
-        if idx & 1 and bounds[idx] != whole:
-            e_whole = self.sh_ie_total[idx >> 1]
+        if whole <= b0:
+            # rounding is monotone, so lead, follow <= fl(lead + follow)
+            penalty = (lead * power0 + follow * power0) - whole * power0
+            return penalty if penalty > 0.0 else 0.0
+        bounds = self.bounds
+        if lead <= b0:
+            e_lead = lead * power0
+        elif lead > b_last:
+            e_lead = prefix_n + (lead - cursor_n) * power_n + spin_n
         else:
-            j = (idx + 1) >> 1 if idx & 1 else idx >> 1
-            e_whole = (
-                self.res_prefix[j]
-                + (whole - self.res_cursor[j]) * self.res_power[j]
-            )
-            if self.res_mode[j] != 0:
-                e_whole = e_whole + self.res_spinup_e[j]
+            idx = bisect_left(bounds, lead)
+            if idx & 1 and bounds[idx] != lead:
+                e_lead = self.sh_ie_total[idx >> 1]
+            else:
+                j = (idx + 1) >> 1 if idx & 1 else idx >> 1
+                e_lead = (
+                    self.res_prefix[j]
+                    + (lead - self.res_cursor[j]) * self.res_power[j]
+                )
+                if self.res_mode[j] != 0:
+                    e_lead = e_lead + self.res_spinup_e[j]
+        if follow > b_last:
+            e_follow = prefix_n + (follow - cursor_n) * power_n + spin_n
+        elif follow <= b0:
+            e_follow = follow * power0
+        else:
+            idx = bisect_left(bounds, follow)
+            if idx & 1 and bounds[idx] != follow:
+                e_follow = self.sh_ie_total[idx >> 1]
+            else:
+                j = (idx + 1) >> 1 if idx & 1 else idx >> 1
+                e_follow = (
+                    self.res_prefix[j]
+                    + (follow - self.res_cursor[j]) * self.res_power[j]
+                )
+                if self.res_mode[j] != 0:
+                    e_follow = e_follow + self.res_spinup_e[j]
+        if whole > b_last:
+            e_whole = prefix_n + (whole - cursor_n) * power_n + spin_n
+        else:
+            idx = bisect_left(bounds, whole)
+            if idx & 1 and bounds[idx] != whole:
+                e_whole = self.sh_ie_total[idx >> 1]
+            else:
+                j = (idx + 1) >> 1 if idx & 1 else idx >> 1
+                e_whole = (
+                    self.res_prefix[j]
+                    + (whole - self.res_cursor[j]) * self.res_power[j]
+                )
+                if self.res_mode[j] != 0:
+                    e_whole = e_whole + self.res_spinup_e[j]
         penalty = e_lead + e_follow - e_whole
         return penalty if penalty > 0.0 else 0.0
 
@@ -842,7 +884,9 @@ class PracticalDPM(DiskPowerManager):
         :meth:`_SegmentTable.split_penalty`); bit-identical to
         ``max(0.0, E(lead) + E(follow) - E(lead + follow))`` computed
         with three :meth:`idle_energy` calls. Reads ``_table`` afresh so
-        adaptive subclasses that rebuild their schedule stay correct."""
+        adaptive subclasses that rebuild their schedule stay correct;
+        an exact ``PracticalDPM`` never rebuilds, so OPG binds the
+        table's method directly instead."""
         return self._table.split_penalty(lead, follow)
 
     def _walk_idle_energy(self, duration: float) -> float:

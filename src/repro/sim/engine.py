@@ -743,26 +743,20 @@ class StorageSimulator:
         skipped (the access stream IS the prepared columnar trace; each
         access's next-reference time rides along in the main ``zip``),
         untrack/track pairs are fused (one net ``+2`` stamp bump, one
-        push), the push itself is inlined once into the main loop body
-        (the ``push`` closure remains only for the gap splitter's
-        re-pushes), the chunked-container operations (timeline neighbor
+        push), and the chunked-container operations (timeline neighbor
         lookup/insert, res add/discard/range-walk) are inlined against
         per-disk hoists of the two-level ``_chunks``/``_maxes``
-        representation, and each penalty's three idle-energy evaluations
-        collapse into
-        one inline segment-table walk (the
-        :meth:`~repro.power.dpm._SegmentTable.split_penalty` arithmetic
-        with the table columns hoisted into closure locals) when the
-        energy function is an unoverridden ``PracticalDPM.idle_energy``
-        — plus a one-comparison shortcut for gaps inside the first
-        residency segment, where all three lookups share segment 0 and
-        no bisect is needed, and per-value first/last-segment lanes
-        that replace the bisect with one or two float compares for the
-        (measured-dominant) below-``bounds[0]`` / above-``bounds[-1]``
-        distances. Misses never split the timeline: a cold miss's time
-        was seeded during prepare, and a repeat miss occurs exactly at
-        the recorded next-access time some earlier eviction already
-        inserted — so the miss path carries no gap-split probe at all.
+        representation. The ``push`` closure is the one copy of the
+        timeline-neighbor lookup and the heap push, shared by the main
+        loop and the gap splitter's re-pushes. Penalties are priced by
+        ``OPGPolicy._split``, the policy's one choice of penalty
+        function; for Practical DPM that is
+        :meth:`~repro.power.dpm._SegmentTable.split_penalty`, which
+        holds the segment-table arithmetic and its fast lanes. Misses
+        never split the timeline: a cold miss's time was seeded during
+        prepare, and a repeat miss occurs exactly at the recorded
+        next-access time some earlier eviction already inserted — so
+        the miss path carries no gap-split probe at all.
         When the write policy is exactly ``WriteBackPolicy`` (the class
         is fast-path audited), its three hooks are inlined: clean
         evictions skip the ``on_evicted`` call, dirty victims flush
@@ -791,68 +785,7 @@ class StorageSimulator:
         cache = self.cache
         policy: OPGPolicy = self.policy
         theta = policy.theta
-        energy = policy._energy
-        # Penalty fast paths, strictest first: with an exact
-        # PracticalDPM the segment table is immutable for the whole run
-        # (only adaptive subclasses rebuild it), so its columns can be
-        # hoisted into locals; a subclass with the *unoverridden*
-        # idle_energy still gets the fused 3-in-1 lookup, but through
-        # split_penalty so rebuilds stay visible.
-        from repro.power.dpm import PracticalDPM
-
-        owner = getattr(energy, "__self__", None)
-        plain_practical = (
-            isinstance(owner, PracticalDPM)
-            and getattr(energy, "__func__", None)
-            is PracticalDPM.idle_energy
-        )
-        table = (
-            owner._table
-            if plain_practical and type(owner) is PracticalDPM
-            else None
-        )
-        fast_split = (
-            owner.split_penalty
-            if plain_practical and table is None
-            else None
-        )
-        if table is not None:
-            bounds = table.bounds
-            sh_ie = table.sh_ie_total
-            res_prefix = table.res_prefix
-            res_cursor = table.res_cursor
-            res_power = table.res_power
-            res_mode = table.res_mode
-            res_spin = table.res_spinup_e
-            b0 = bounds[0] if bounds else inf
-            seg0_flat = res_mode[0] == 0
-            prefix0 = res_prefix[0]
-            cursor0 = res_cursor[0]
-            power0 = res_power[0]
-            spin0 = res_spin[0]
-            # Pre-resolved first/last-segment constants: measured on
-            # the benchmark workload, ~63% of leads and ~47% of
-            # follows/wholes land below bounds[0] or above bounds[-1],
-            # so one comparison replaces the bisect for them (the
-            # residual middle still walks). bounds comes in
-            # (sleep_start, next_resume) pairs, so a beyond-the-end
-            # value's bisect index len(bounds) is even and resolves to
-            # residency segment len(bounds)//2; an odd length would
-            # break that (and IndexError in the generic walk), so the
-            # shortcut is disabled (bN = inf) on malformed tables.
-            nbounds = len(bounds)
-            if nbounds and not nbounds & 1:
-                bN = bounds[-1]
-                jn = nbounds >> 1
-                prefN = res_prefix[jn]
-                curN = res_cursor[jn]
-                powN = res_power[jn]
-                modeN = res_mode[jn] != 0
-                spinN = res_spin[jn]
-            else:
-                bN = inf
-                prefN = curN = powN = spinN = 0.0
-                modeN = False
+        split = policy._split
         next_of = policy._next_of
         stamps = policy._stamp
         stamps_get = stamps.get
@@ -907,7 +840,9 @@ class StorageSimulator:
                 # the append branch nt is beyond every known time; it
                 # can at most equal the synthetic tl_end follower,
                 # where the penalty is e(lead) + e(0) - e(lead) = 0
-                # (energy_fn(0) == 0 contract), matching pen = 0.
+                # (energy_fn(0) == 0 contract), matching pen = 0. So
+                # the follower is always past nt and, unlike
+                # _penalty's, the follow distance needs no clamp.
                 maxes = tl_maxes[disk]
                 ci = bisect_left(maxes, nt)
                 if ci == len(maxes):
@@ -926,118 +861,7 @@ class StorageSimulator:
                 if follower == nt:
                     pen = 0.0  # coincident: the disk is active anyway
                 else:
-                    lead = nt - leader
-                    follow = follower - nt
-                    if follow < 0.0:
-                        follow = 0.0
-                    if table is not None:
-                        whole = lead + follow
-                        if seg0_flat and whole <= b0:
-                            # All three gaps land in residency segment
-                            # 0 (rounding is monotone, so lead, follow
-                            # <= fl(lead + follow)); these are the
-                            # general walk's j == 0 expressions.
-                            pen = (
-                                (prefix0 + (lead - cursor0) * power0)
-                                + (prefix0 + (follow - cursor0) * power0)
-                                - (prefix0 + (whole - cursor0) * power0)
-                            )
-                        else:
-                            # Per-value fast lanes around the bisect
-                            # (ordered by measured frequency): below
-                            # bounds[0] resolves to segment 0, above
-                            # bounds[-1] to the last segment — both
-                            # with the generic walk's exact j == 0 /
-                            # j == len//2 expressions, so the floats
-                            # match bit for bit.
-                            if lead <= b0:
-                                e_l = prefix0 + (lead - cursor0) * power0
-                                if not seg0_flat:
-                                    e_l = e_l + spin0
-                            elif lead > bN:
-                                e_l = prefN + (lead - curN) * powN
-                                if modeN:
-                                    e_l = e_l + spinN
-                            else:
-                                idx = bisect_left(bounds, lead)
-                                if idx & 1 and bounds[idx] != lead:
-                                    e_l = sh_ie[idx >> 1]
-                                else:
-                                    j = (
-                                        (idx + 1) >> 1
-                                        if idx & 1
-                                        else idx >> 1
-                                    )
-                                    e_l = (
-                                        res_prefix[j]
-                                        + (lead - res_cursor[j])
-                                        * res_power[j]
-                                    )
-                                    if res_mode[j] != 0:
-                                        e_l = e_l + res_spin[j]
-                            if follow > bN:
-                                e_f = prefN + (follow - curN) * powN
-                                if modeN:
-                                    e_f = e_f + spinN
-                            elif follow <= b0:
-                                e_f = (
-                                    prefix0 + (follow - cursor0) * power0
-                                )
-                                if not seg0_flat:
-                                    e_f = e_f + spin0
-                            else:
-                                idx = bisect_left(bounds, follow)
-                                if idx & 1 and bounds[idx] != follow:
-                                    e_f = sh_ie[idx >> 1]
-                                else:
-                                    j = (
-                                        (idx + 1) >> 1
-                                        if idx & 1
-                                        else idx >> 1
-                                    )
-                                    e_f = (
-                                        res_prefix[j]
-                                        + (follow - res_cursor[j])
-                                        * res_power[j]
-                                    )
-                                    if res_mode[j] != 0:
-                                        e_f = e_f + res_spin[j]
-                            if whole > bN:
-                                e_w = prefN + (whole - curN) * powN
-                                if modeN:
-                                    e_w = e_w + spinN
-                            elif whole <= b0:
-                                e_w = prefix0 + (whole - cursor0) * power0
-                                if not seg0_flat:
-                                    e_w = e_w + spin0
-                            else:
-                                idx = bisect_left(bounds, whole)
-                                if idx & 1 and bounds[idx] != whole:
-                                    e_w = sh_ie[idx >> 1]
-                                else:
-                                    j = (
-                                        (idx + 1) >> 1
-                                        if idx & 1
-                                        else idx >> 1
-                                    )
-                                    e_w = (
-                                        res_prefix[j]
-                                        + (whole - res_cursor[j])
-                                        * res_power[j]
-                                    )
-                                    if res_mode[j] != 0:
-                                        e_w = e_w + res_spin[j]
-                            pen = e_l + e_f - e_w
-                        if pen <= 0.0:
-                            pen = 0.0
-                    elif fast_split is not None:
-                        pen = fast_split(lead, follow)
-                    else:
-                        e_split = energy(lead) + energy(follow)
-                        e_whole = energy(lead + follow)
-                        pen = e_split - e_whole
-                        if pen < 0.0:
-                            pen = 0.0
+                    pen = split(nt - leader, follower - nt)
             if pen < theta:
                 pen = theta
             heappush(heap, (pen, -nt, stamp, disk, block))
@@ -1216,20 +1040,19 @@ class StorageSimulator:
                     # the finally below)
                     nt_old = state.opg_nt
                     state.opg_nt = nt_new
-                    # res discard + add inlined (resident finite-nt
-                    # blocks are always tracked, so the discarded item
-                    # exists; nt_old is this access's own time, hence
-                    # finite — the guard mirrors _untrack's). Infinite
-                    # next times stay out of res entirely: a gap walk's
-                    # follower bound is always finite. The item is
-                    # (almost) always the res front: every live entry
-                    # is a pending future access >= now == nt_old, and
-                    # anything ordered below it is a provably-stale
-                    # leftover of a lazy eviction — purge those
-                    # wholesale, then pop the front without a bisect.
-                    rmaxes = res_maxes[disk]
-                    rchunks = res_chunks[disk]
+                    # res discard inlined (resident finite-nt blocks
+                    # are always tracked, so the discarded item exists;
+                    # nt_old is this access's own time, hence finite —
+                    # the guard mirrors _untrack's); the add follows
+                    # the branch. The item is (almost) always the res
+                    # front: every live entry is a pending future
+                    # access >= now == nt_old, and anything ordered
+                    # below it is a provably-stale leftover of a lazy
+                    # eviction — purge those wholesale, then pop the
+                    # front without a bisect.
                     if nt_old != inf:
+                        rmaxes = res_maxes[disk]
+                        rchunks = res_chunks[disk]
                         item = (nt_old, block)
                         chunk = rchunks[0]
                         while chunk[-1][0] < nt_old:
@@ -1254,23 +1077,6 @@ class StorageSimulator:
                                 del rmaxes[ci]
                             elif i == len(chunk):
                                 rmaxes[ci] = chunk[-1]
-                    if nt_new != inf:
-                        item = (nt_new, block)
-                        if not rmaxes:
-                            rchunks.append([item])
-                            rmaxes.append(item)
-                        else:
-                            ci = bisect_right(rmaxes, item)
-                            if ci == len(rmaxes):
-                                ci -= 1
-                                chunk = rchunks[ci]
-                                chunk.append(item)
-                                rmaxes[ci] = item
-                            else:
-                                chunk = rchunks[ci]
-                                insort(chunk, item)
-                            if len(chunk) > cap:
-                                res_lists[disk]._split(ci)
                     st = state.opg_stamp + 2
                     state.opg_stamp = st
                     bstate = state
@@ -1328,11 +1134,10 @@ class StorageSimulator:
                                 bucket.discard(vkey)
                     else:
                         nblocks += 1
-                    # on_insert inlined: track at this access's next
-                    # time (prepare seeded res for every traced disk;
-                    # inf next times stay out of res). A re-inserted
-                    # block resumes its stamp sequence from the dict
-                    # entry its last eviction left behind.
+                    # on_insert inlined (the res add follows the
+                    # branch). A re-inserted block resumes its stamp
+                    # sequence from the dict entry its last eviction
+                    # left behind.
                     st = stamps_get(key, 0) + 1
                     if vkey is not None and wb_exact:
                         # recycle the victim's state object: its dirty
@@ -1349,165 +1154,30 @@ class StorageSimulator:
                     else:
                         bstate = block_state(False, False, False, nt_new, st)
                     blocks[key] = bstate
-                    if nt_new != inf:
-                        rmaxes = res_maxes[disk]
-                        item = (nt_new, block)
-                        if not rmaxes:
-                            res_chunks[disk].append([item])
-                            rmaxes.append(item)
-                        else:
-                            ci = bisect_right(rmaxes, item)
-                            if ci == len(rmaxes):
-                                ci -= 1
-                                chunk = res_chunks[disk][ci]
-                                chunk.append(item)
-                                rmaxes[ci] = item
-                            else:
-                                chunk = res_chunks[disk][ci]
-                                insort(chunk, item)
-                            if len(chunk) > cap:
-                                res_lists[disk]._split(ci)
-                # -- push(disk, block, nt_new, st) inlined: hit and
-                # miss funnel through this single copy (the closure
-                # above still serves the gap-split walk), trading one
-                # closure call per access for the shared tail below --------
-                if nt_new == inf:
-                    pen = 0.0
-                else:
-                    maxes = tl_maxes[disk]
-                    ci = bisect_left(maxes, nt_new)
-                    if ci == len(maxes):
-                        leader = maxes[-1]
-                        follower = tl_end
+                # track at this access's next time (prepare seeded res
+                # for every traced disk; inf next times stay out of res,
+                # since a gap walk's follower bound is always finite),
+                # then push the block's heap entry
+                if nt_new != inf:
+                    rmaxes = res_maxes[disk]
+                    rchunks = res_chunks[disk]
+                    item = (nt_new, block)
+                    if not rmaxes:
+                        rchunks.append([item])
+                        rmaxes.append(item)
                     else:
-                        chunk = tl_chunks[disk][ci]
-                        i = bisect_left(chunk, nt_new)
-                        follower = chunk[i]
-                        if i > 0:
-                            leader = chunk[i - 1]
-                        elif ci > 0:
-                            leader = maxes[ci - 1]
+                        ci = bisect_right(rmaxes, item)
+                        if ci == len(rmaxes):
+                            ci -= 1
+                            chunk = rchunks[ci]
+                            chunk.append(item)
+                            rmaxes[ci] = item
                         else:
-                            leader = tl_start
-                    if follower == nt_new:
-                        pen = 0.0  # coincident: disk active anyway
-                    else:
-                        lead = nt_new - leader
-                        follow = follower - nt_new
-                        if follow < 0.0:
-                            follow = 0.0
-                        if table is not None:
-                            whole = lead + follow
-                            if seg0_flat and whole <= b0:
-                                pen = (
-                                    (prefix0 + (lead - cursor0) * power0)
-                                    + (
-                                        prefix0
-                                        + (follow - cursor0) * power0
-                                    )
-                                    - (
-                                        prefix0
-                                        + (whole - cursor0) * power0
-                                    )
-                                )
-                            else:
-                                if lead <= b0:
-                                    e_l = (
-                                        prefix0 + (lead - cursor0) * power0
-                                    )
-                                    if not seg0_flat:
-                                        e_l = e_l + spin0
-                                elif lead > bN:
-                                    e_l = prefN + (lead - curN) * powN
-                                    if modeN:
-                                        e_l = e_l + spinN
-                                else:
-                                    idx = bisect_left(bounds, lead)
-                                    if idx & 1 and bounds[idx] != lead:
-                                        e_l = sh_ie[idx >> 1]
-                                    else:
-                                        j = (
-                                            (idx + 1) >> 1
-                                            if idx & 1
-                                            else idx >> 1
-                                        )
-                                        e_l = (
-                                            res_prefix[j]
-                                            + (lead - res_cursor[j])
-                                            * res_power[j]
-                                        )
-                                        if res_mode[j] != 0:
-                                            e_l = e_l + res_spin[j]
-                                if follow > bN:
-                                    e_f = prefN + (follow - curN) * powN
-                                    if modeN:
-                                        e_f = e_f + spinN
-                                elif follow <= b0:
-                                    e_f = (
-                                        prefix0
-                                        + (follow - cursor0) * power0
-                                    )
-                                    if not seg0_flat:
-                                        e_f = e_f + spin0
-                                else:
-                                    idx = bisect_left(bounds, follow)
-                                    if idx & 1 and bounds[idx] != follow:
-                                        e_f = sh_ie[idx >> 1]
-                                    else:
-                                        j = (
-                                            (idx + 1) >> 1
-                                            if idx & 1
-                                            else idx >> 1
-                                        )
-                                        e_f = (
-                                            res_prefix[j]
-                                            + (follow - res_cursor[j])
-                                            * res_power[j]
-                                        )
-                                        if res_mode[j] != 0:
-                                            e_f = e_f + res_spin[j]
-                                if whole > bN:
-                                    e_w = prefN + (whole - curN) * powN
-                                    if modeN:
-                                        e_w = e_w + spinN
-                                elif whole <= b0:
-                                    e_w = (
-                                        prefix0
-                                        + (whole - cursor0) * power0
-                                    )
-                                    if not seg0_flat:
-                                        e_w = e_w + spin0
-                                else:
-                                    idx = bisect_left(bounds, whole)
-                                    if idx & 1 and bounds[idx] != whole:
-                                        e_w = sh_ie[idx >> 1]
-                                    else:
-                                        j = (
-                                            (idx + 1) >> 1
-                                            if idx & 1
-                                            else idx >> 1
-                                        )
-                                        e_w = (
-                                            res_prefix[j]
-                                            + (whole - res_cursor[j])
-                                            * res_power[j]
-                                        )
-                                        if res_mode[j] != 0:
-                                            e_w = e_w + res_spin[j]
-                                pen = e_l + e_f - e_w
-                            if pen <= 0.0:
-                                pen = 0.0
-                        elif fast_split is not None:
-                            pen = fast_split(lead, follow)
-                        else:
-                            e_split = energy(lead) + energy(follow)
-                            e_whole = energy(lead + follow)
-                            pen = e_split - e_whole
-                            if pen < 0.0:
-                                pen = 0.0
-                if pen < theta:
-                    pen = theta
-                heappush(heap, (pen, -nt_new, st, disk, block))
+                            chunk = rchunks[ci]
+                            insort(chunk, item)
+                        if len(chunk) > cap:
+                            res_lists[disk]._split(ci)
+                push(disk, block, nt_new, st)
                 # -- write/read tails; call order is identical to the
                 # scalar engine's (victim flush first, then the
                 # access's own write or read) ------------------------------

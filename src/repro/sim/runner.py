@@ -210,7 +210,8 @@ def run_simulation(
         num_disks: Array size (ignored if ``config`` given).
         cache_blocks: Cache capacity (``"infinite"`` policy overrides
             this to unbounded).
-        dpm: ``"practical"``, ``"oracle"``, or ``"always_on"``.
+        dpm: One of :data:`~repro.sim.config.DPM_KINDS`: ``"practical"``,
+            ``"oracle"``, ``"always_on"`` or ``"adaptive"``.
         write_policy: One of :data:`WRITE_POLICY_NAMES`.
         prefetch_depth: > 0 enables the power-aware sequential
             prefetcher riding paid-for spin-ups (online policies only).

@@ -73,6 +73,31 @@ class TestSegmentTableLockstep:
                     f"start={start_mode} duration={d!r} wake={wake}",
                 )
 
+    def test_split_penalty_matches_walk(self, practical):
+        _assert_split_penalty_matches_walk(practical)
+
+    def test_split_penalty_matches_walk_after_rescale(self, model):
+        adaptive = AdaptiveThresholdDPM(model)
+        adaptive._rescale(adaptive.grow)
+        assert adaptive.adaptations == 1
+        _assert_split_penalty_matches_walk(adaptive)
+
+
+def _assert_split_penalty_matches_walk(dpm: PracticalDPM) -> None:
+    """OPG's fused penalty against three reference walks, over every
+    pair of probe durations: segment interiors, exact bounds, +-1e-6
+    around them and past ``bounds[-1]`` (each of the table's lanes)."""
+    walk = dpm._walk_idle_energy
+    durations = _probe_durations(dpm)
+    for lead in durations:
+        for follow in durations:
+            expected = max(
+                0.0, walk(lead) + walk(follow) - walk(lead + follow)
+            )
+            assert dpm._table.split_penalty(lead, follow) == expected, (
+                f"lead={lead!r} follow={follow!r}"
+            )
+
 
 class TestAccountIdle:
     """``account_idle`` folds a gap straight into the ledger; it must be

@@ -59,10 +59,20 @@ def test_golden_config_byte_identical(traces, name):
 
 @pytest.mark.parametrize("dpm", ["always_on", "oracle", "practical", "adaptive"])
 def test_dpm_schemes_byte_identical(traces, dpm):
+    """Every DPM scheme, under LRU and under OPG. The columnar OPG runs
+    take the fused loop, which prices evictions through the policy's
+    one penalty choice: the segment table bound directly (practical),
+    the adaptive DPM's ``split_penalty`` (adaptive) or three energy
+    calls (always_on, oracle)."""
     legacy, columnar = traces
-    assert _serialized(legacy, policy="lru", dpm=dpm) == _serialized(
-        columnar, policy="lru", dpm=dpm
-    )
+    for kwargs in (
+        {"policy": "lru"},
+        {"policy": "opg", "theta": 0.0},
+        {"policy": "opg", "theta": 0.05},
+    ):
+        assert _serialized(legacy, dpm=dpm, **kwargs) == _serialized(
+            columnar, dpm=dpm, **kwargs
+        ), kwargs
 
 
 @pytest.mark.parametrize(

@@ -115,6 +115,28 @@ class TestSimulate:
         assert code == 0
         assert "pa-lru" in capsys.readouterr().out
 
+    def test_adaptive_dpm_matches_library(self, trace_file, capsys):
+        """``--dpm`` accepts every scheme ``SimulationConfig`` does; OPG
+        with a small cache evicts, so the adaptive DPM's penalty path
+        runs too."""
+        from repro.sim.runner import run_simulation
+        from repro.traces.io import load_trace
+
+        code = main(
+            [
+                "simulate", trace_file, "-p", "opg", "--dpm", "adaptive",
+                "--disks", "20", "--cache-blocks", "64",
+            ]
+        )
+        assert code == 0
+        expected = run_simulation(
+            load_trace(trace_file), "opg", num_disks=20, cache_blocks=64,
+            dpm="adaptive",
+        )
+        out = capsys.readouterr().out
+        assert "[adaptive DPM]" in out
+        assert expected.summary() in out
+
     def test_prefetch_flag(self, trace_file, capsys):
         assert main(
             ["simulate", trace_file, "-p", "lru", "--prefetch-depth", "4"]
@@ -200,6 +222,7 @@ class TestServe:
                 "serve", "-p", "pa-lru", "--time-dilation", "25",
                 "--queue-capacity", "64", "--checkpoint-dir", "cps",
                 "--checkpoint-every", "1000", "--tcp-port", "7777",
+                "--dpm", "adaptive",
             ]
         )
         assert args.command == "serve"
@@ -208,3 +231,4 @@ class TestServe:
         assert args.queue_capacity == 64
         assert args.checkpoint_every == 1000
         assert args.tcp_port == 7777
+        assert args.dpm == "adaptive"
