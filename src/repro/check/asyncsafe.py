@@ -30,7 +30,7 @@ from typing import Iterator
 from repro.check.base import (
     Checker,
     canonical_call_name,
-    import_aliases,
+    module_aliases,
     register,
 )
 from repro.check.finding import Finding
@@ -165,7 +165,7 @@ class AsyncSafeChecker(Checker):
     def _check_coroutine(
         self, module: ModuleInfo, fn: FunctionInfo
     ) -> Iterator[Finding]:
-        aliases = import_aliases(module.tree)
+        aliases = module_aliases(module)
         for node in own_nodes(fn.node):
             if isinstance(node, ast.Call):
                 reason = _blocking_reason(node, aliases)
@@ -218,7 +218,7 @@ class AsyncSafeChecker(Checker):
         if fn.key in visiting:
             return None  # recursion: break the cycle optimistically
         visiting = visiting | {fn.key}
-        aliases = import_aliases(fn.module.tree)
+        aliases = module_aliases(fn.module)
         result = None
         for node in own_nodes(fn.node):
             if not isinstance(node, ast.Call):

@@ -97,6 +97,13 @@ def import_aliases(tree: ast.Module) -> dict[str, str]:
     return aliases
 
 
+def module_aliases(module: ModuleInfo) -> dict[str, str]:
+    """:func:`import_aliases` of ``module``, walked once and cached on it."""
+    if module.aliases is None:
+        module.aliases = import_aliases(module.tree)
+    return module.aliases
+
+
 def canonical_call_name(
     func: ast.expr, aliases: dict[str, str]
 ) -> str | None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.check.base import Checker, canonical_call_name, import_aliases, register
+from repro.check.base import Checker, canonical_call_name, module_aliases, register
 from repro.check.finding import Finding, Severity
 from repro.check.project import ModuleInfo, Project
 
@@ -108,7 +108,7 @@ class DeterminismChecker(Checker):
     def check(
         self, module: ModuleInfo, project: Project
     ) -> Iterator[Finding]:
-        aliases = import_aliases(module.tree)
+        aliases = module_aliases(module)
         journaling = module.basename in _JOURNALING_BASENAMES
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):

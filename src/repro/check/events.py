@@ -36,19 +36,29 @@ EVENT_BASE = "Event"
 _PROBE_NAMES = frozenset({"probe", "emit", "publish", "bus"})
 
 
-def _event_class_names(project: Project) -> set[str]:
-    return {info.name for info in project.subclasses_of(EVENT_BASE)}
+class _EventSites:
+    """The project-wide facts the rule needs, gathered in one pass."""
+
+    def __init__(self, project: Project) -> None:
+        #: Declared event classes (transitive ``Event`` subclasses).
+        self.classes = project.subclasses_of(EVENT_BASE)
+        self.names = {info.name for info in self.classes}
+        #: Names of every called target anywhere in the project.
+        self.constructed: set[str] = set()
+        for module in project.modules:
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.Call):
+                    name = call_name(node.func)
+                    if name is not None:
+                        self.constructed.add(name)
 
 
-def _constructions(project: Project) -> dict[str, list[ModuleInfo]]:
-    """Class name -> modules containing a construction call of it."""
-    sites: dict[str, list[ModuleInfo]] = {}
-    for module in project.modules:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                name = call_name(node.func)
-                if name is not None:
-                    sites.setdefault(name, []).append(module)
+def _event_sites(project: Project) -> _EventSites:
+    """The project's event index, built once and cached on the project."""
+    sites = getattr(project, "_event_sites", None)
+    if sites is None:
+        sites = _EventSites(project)
+        project._event_sites = sites  # type: ignore[attr-defined]
     return sites
 
 
@@ -72,11 +82,11 @@ class EventCoverageChecker(Checker):
     def check(
         self, module: ModuleInfo, project: Project
     ) -> Iterator[Finding]:
-        events = _event_class_names(project)
-        if not events:
+        sites = _event_sites(project)
+        if not sites.names:
             return
-        yield from self._check_emissions(module, project, events)
-        yield from self._check_coverage(module, project, events)
+        yield from self._check_emissions(module, project, sites.names)
+        yield from self._check_coverage(module, sites)
 
     def _check_emissions(
         self, module: ModuleInfo, project: Project, events: set[str]
@@ -106,13 +116,12 @@ class EventCoverageChecker(Checker):
             )
 
     def _check_coverage(
-        self, module: ModuleInfo, project: Project, events: set[str]
+        self, module: ModuleInfo, sites: _EventSites
     ) -> Iterator[Finding]:
-        sites = _constructions(project)
-        for info in project.subclasses_of(EVENT_BASE):
+        for info in sites.classes:
             if info.module is not module:
                 continue  # report at the definition site only
-            if info.name not in sites:
+            if info.name not in sites.constructed:
                 yield self.finding(
                     module,
                     info.node,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.check.base import call_name, canonical_call_name, import_aliases
+from repro.check.base import call_name, canonical_call_name, module_aliases
 from repro.check.flow.cfg import CFG, build_cfg
 from repro.check.project import ModuleInfo, Project
 
@@ -243,7 +243,7 @@ class CallGraph:
     # -- edges ------------------------------------------------------------
 
     def _resolve_calls(self, caller: FunctionInfo):
-        aliases = import_aliases(caller.module.tree)
+        aliases = module_aliases(caller.module)
         for node in own_nodes(caller.node):
             if not isinstance(node, ast.Call):
                 continue

@@ -52,6 +52,11 @@ class ModuleInfo:
     ignores: dict[int, frozenset[str]] = field(default_factory=dict)
     #: lines carrying a ``# repro: hot`` marker.
     hot_lines: frozenset[int] = frozenset()
+    #: import aliases, filled on first use by
+    #: :func:`repro.check.base.module_aliases`.
+    aliases: dict[str, str] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def basename(self) -> str:

@@ -30,3 +30,12 @@ def adds_dimensions(idle_s, idle_j):
 
 def adds_scales(idle_s, idle_ms):
     return idle_s + idle_ms      # s + ms without a conversion
+
+
+def carries_around_loop(latency_s, r):
+    lat = latency_s
+    w = lat
+    for v in r:
+        w = max(w, lat)          # the loop keeps w in seconds
+    total_ms = w                 # s value into an _ms name, via the loop
+    return total_ms

@@ -65,7 +65,8 @@ class TestUnitsFlow:
         assert "passes `ms` value `wake_ms` to `s`-suffixed" in msgs
         assert "mixed dimensions: time `+` energy" in msgs
         assert "mixed scales: `s` `+` `ms`" in msgs
-        assert len(report.errors) == 6
+        assert "assigns `s` value `w` to `ms`-suffixed target `total_ms`" in msgs
+        assert len(report.errors) == 7
 
     def test_tracks_units_through_aliases(self, check_fixture):
         # `x = latency_ms; total_s = x` — the drift is only visible

@@ -14,6 +14,11 @@ from repro.check.flow import (
     solve,
 )
 from repro.check.project import Project
+from repro.check.unitsflow import UnitsFlowChecker, _UnitEnv
+
+from .conftest import FIXTURES, REPO_ROOT
+
+CHECK_PKG = REPO_ROOT / "src" / "repro" / "check"
 
 
 def _cfg_of(source, name=None):
@@ -385,6 +390,97 @@ class _ConstProp(Analysis):
         return out
 
 
+class _Liveness(Analysis):
+    """Backward live-variable analysis over Assign(Name = expr)."""
+
+    direction = "backward"
+
+    def boundary(self):
+        return frozenset()
+
+    def init(self):
+        return frozenset()
+
+    def join(self, a, b):
+        return a | b
+
+    def transfer(self, block, state):
+        node = block.node
+        if node is None:
+            return state
+        kill = set()
+        gen = set()
+        if isinstance(node, ast.Assign) and isinstance(
+            node.targets[0], ast.Name
+        ):
+            kill.add(node.targets[0].id)
+            value = node.value
+        else:
+            value = node
+        for sub in ast.walk(value):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                gen.add(sub.id)
+        return (state - kill) | gen
+
+
+class _Counting(Analysis):
+    """Wraps an analysis, counting ``transfer`` calls per block id."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.direction = inner.direction
+        self.calls = {}
+
+    def boundary(self):
+        return self.inner.boundary()
+
+    def init(self):
+        return self.inner.init()
+
+    def join(self, a, b):
+        return self.inner.join(a, b)
+
+    def transfer(self, block, state):
+        self.calls[block.id] = self.calls.get(block.id, 0) + 1
+        return self.inner.transfer(block, state)
+
+
+def _units_analysis(graph, module, class_name):
+    """The unitsflow rule's analysis, bound to one function's context."""
+    checker = UnitsFlowChecker()
+    checker._graph = graph
+    checker._module = module
+    checker._class_name = class_name
+    return _UnitEnv(checker)
+
+
+def _assert_fixpoint(cfg, analysis):
+    """``solve``'s states satisfy the dataflow equations on ``cfg``."""
+    ins, outs = solve(cfg, analysis)
+    if analysis.direction == "forward":
+        before, after = ins, outs
+        sources = cfg.preds()
+        seeds = {cfg.entry.id}
+    else:
+        # backward results are reported in program order: the solver's
+        # own in-state is the returned out-state and vice versa
+        before, after = outs, ins
+        sources = {b.id: [s for s, _ in b.succs] for b in cfg.blocks}
+        seeds = {cfg.exit.id, cfg.exc_exit.id}
+    for block in cfg.blocks:
+        states = [after[src.id] for src in sources[block.id]]
+        if block.id in seeds:
+            states.append(analysis.boundary())
+        expected = states[0] if states else analysis.init()
+        for state in states[1:]:
+            expected = analysis.join(expected, state)
+        where = f"{cfg.name} block {block.id}"
+        assert analysis.equal(before[block.id], expected), where
+        assert analysis.equal(
+            after[block.id], analysis.transfer(block, before[block.id])
+        ), where
+
+
 class TestDataflow:
     def test_forward_constant_propagation_joins_at_merge(self):
         cfg = _cfg_of(
@@ -421,38 +517,6 @@ class TestDataflow:
         assert ins[cfg.exit.id]["y"] == "?"
 
     def test_backward_liveness(self):
-        class Liveness(Analysis):
-            direction = "backward"
-
-            def boundary(self):
-                return frozenset()
-
-            def init(self):
-                return frozenset()
-
-            def join(self, a, b):
-                return a | b
-
-            def transfer(self, block, state):
-                node = block.node
-                if node is None:
-                    return state
-                kill = set()
-                gen = set()
-                if isinstance(node, ast.Assign) and isinstance(
-                    node.targets[0], ast.Name
-                ):
-                    kill.add(node.targets[0].id)
-                    value = node.value
-                else:
-                    value = node
-                for sub in ast.walk(value):
-                    if isinstance(sub, ast.Name) and isinstance(
-                        sub.ctx, ast.Load
-                    ):
-                        gen.add(sub.id)
-                return (state - kill) | gen
-
         cfg = _cfg_of(
             """
             def f(a, b):
@@ -461,12 +525,63 @@ class TestDataflow:
                 return x
             """
         )
-        ins, _outs = solve(cfg, Liveness())
+        ins, _outs = solve(cfg, _Liveness())
         live_at_entry = ins[cfg.entry.id]
         assert "a" in live_at_entry
         # b is assigned to y but y is never used -> b could be dead or
         # live depending on precision; x must be dead at entry
         assert "x" not in live_at_entry
+
+    def test_solution_is_a_fixpoint_on_the_corpus(self):
+        # every CFG of the fixture corpus and of the checker package,
+        # under a forward, a backward and the units-flow analysis
+        project = Project([FIXTURES, CHECK_PKG], base=REPO_ROOT)
+        graph = get_call_graph(project)
+        cfgs = 0
+        for module in project.modules:
+            units = [
+                (info.cfg, info.class_name)
+                for info in graph.functions.values()
+                if info.module is module
+            ]
+            units.append((build_cfg(module.tree, "<module>"), None))
+            for cfg, class_name in units:
+                for analysis in (
+                    _ConstProp(),
+                    _Liveness(),
+                    _units_analysis(graph, module, class_name),
+                ):
+                    _assert_fixpoint(cfg, analysis)
+                cfgs += 1
+        assert cfgs > 250
+
+    def test_acyclic_cfg_transfers_each_block_once(self):
+        straight = _cfg_of(
+            """
+            def f(a):
+                x = a
+                y = x
+                return y
+            """
+        )
+        branches = _cfg_of(
+            """
+            def f(c, d):
+                if c and d:
+                    x = 1
+                elif c:
+                    x = 2
+                else:
+                    x = 3
+                y = x
+                return y
+            """
+        )
+        for cfg in (straight, branches):
+            for inner in (_ConstProp(), _Liveness()):
+                counting = _Counting(inner)
+                solve(cfg, counting)
+                assert counting.calls == {b.id: 1 for b in cfg.blocks}
 
 
 class TestCallGraph:

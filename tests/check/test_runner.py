@@ -1,9 +1,11 @@
 """Runner mechanics: pragmas, the baseline file, CLI formats and codes."""
 
 import json
+import textwrap
 
 import pytest
 
+from repro.check import base, events
 from repro.check.baseline import Baseline, BaselineError
 from repro.check.runner import run_check
 from repro.cli import main as cli_main
@@ -121,6 +123,81 @@ class TestRunner:
         assert "1 files" in summary
         assert "5 errors" in summary
         assert "2 warnings" in summary
+
+
+class TestFactsComputedOnce:
+    """Module- and project-wide facts are derived once per run, not once
+    per function or per module that asks for them."""
+
+    _FILES = {
+        "events_mod.py": """
+            class Event:
+                pass
+
+            class Spun(Event):
+                pass
+        """,
+        "daemon.py": """
+            import asyncio
+            import time as clock
+
+            from events_mod import Spun
+
+            def _nap():
+                clock.sleep(0.1)
+
+            async def serve(bus):
+                bus(Spun())
+                await asyncio.to_thread(_nap)
+
+            async def tick():
+                await asyncio.sleep(0)
+        """,
+        "worker.py": """
+            import random as rnd
+
+            def draw(seed):
+                return rnd.Random(seed).random()
+
+            def wait_s(delay_s):
+                return draw(delay_s)
+        """,
+    }
+
+    def _project(self, tmp_path):
+        for name, source in self._FILES.items():
+            (tmp_path / name).write_text(textwrap.dedent(source))
+        return tmp_path
+
+    def test_import_aliases_walk_each_module_once(self, tmp_path, monkeypatch):
+        walks = {}
+        real = base.import_aliases
+
+        def counting(tree):
+            walks[id(tree)] = walks.get(id(tree), 0) + 1
+            return real(tree)
+
+        monkeypatch.setattr(base, "import_aliases", counting)
+        root = self._project(tmp_path)
+        report = run_check([root], base=root)
+        assert report.files_checked == len(self._FILES)
+        assert sorted(walks.values()) == [1] * len(self._FILES)
+
+    def test_event_sites_built_once_per_run(self, tmp_path, monkeypatch):
+        builds = []
+
+        class Counting(events._EventSites):
+            def __init__(self, project):
+                builds.append(project)
+                super().__init__(project)
+
+        monkeypatch.setattr(events, "_EventSites", Counting)
+        root = self._project(tmp_path)
+        report = run_check([root], base=root)
+        assert report.findings == []
+        assert len(builds) == 1
+        run_check([root], base=root)
+        assert len(builds) == 2  # a fresh project, a fresh index
 
 
 class TestCli:
